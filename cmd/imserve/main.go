@@ -59,6 +59,21 @@ func main() {
 // testOnListen, when set (by tests), receives the bound listen address.
 var testOnListen func(addr string)
 
+// readTimeout bounds reading one request, headers and body. Query bodies
+// are small JSON documents, and the admission gate admits a query before
+// its body is read, so a client that trickles or stalls its body would
+// otherwise hold an admission slot for as long as it keeps the connection
+// open. Tests shorten it.
+var readTimeout = 10 * time.Second
+
+const (
+	// writeMargin is the response-writing allowance past the longest
+	// request budget: encoding, cache bookkeeping and a slow reader.
+	writeMargin = 10 * time.Second
+	// idleTimeout closes keep-alive connections left idle this long.
+	idleTimeout = 2 * time.Minute
+)
+
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("imserve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
@@ -158,9 +173,14 @@ func run(ctx context.Context, args []string) error {
 		testOnListen(ln.Addr().String())
 	}
 
+	// The write deadline runs from the end of the request headers, so it
+	// spans the body read, the query (at most its budget) and the reply.
 	hs := &http.Server{
 		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
+		ReadHeaderTimeout: readTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      readTimeout + srv.LongestBudget() + writeMargin,
+		IdleTimeout:       idleTimeout,
 	}
 	serveErr := make(chan error, 1)
 	go func() {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -128,6 +129,48 @@ func TestDrainWithRequestInFlight(t *testing.T) {
 	}
 	if got := <-inFlight; got != 200 {
 		t.Fatalf("in-flight request finished with %d, want 200", got)
+	}
+}
+
+// TestStalledBodyDisconnected: a client that sends a query's headers and
+// then stalls mid-body is disconnected at the read timeout, which releases
+// the admission slot its query held: with a one-slot gate, the next query
+// is served instead of refused.
+func TestStalledBodyDisconnected(t *testing.T) {
+	readTimeout = 300 * time.Millisecond
+	t.Cleanup(func() { readTimeout = 10 * time.Second })
+	base, shutdown := startServer(t, "-maxinflight", "1")
+	defer func() {
+		if err := shutdown(); err != nil {
+			t.Errorf("drain returned error: %v", err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := fmt.Fprint(conn, "POST /v1/seeds HTTP/1.1\r\nHost: imserve\r\n"+
+		"Content-Type: application/json\r\nContent-Length: 64\r\n\r\n{\"k\":"); err != nil {
+		t.Fatal(err)
+	}
+	// The body never completes; only the server can end the exchange.
+	if err := conn.SetReadDeadline(time.Now().Add(20 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("server kept the stalled connection open: %v", err)
+	}
+
+	resp, err := http.Post(base+"/v1/seeds", "application/json", strings.NewReader(`{"k":3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	_ = resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("query after the stalled client = %d %s, want 200", resp.StatusCode, body)
 	}
 }
 

@@ -2,6 +2,8 @@ package diffusion
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -66,17 +68,93 @@ type WorldEvaluator struct {
 	model  weights.Model
 	worlds int
 	seed   uint64
+	tab    *arcTable
 }
 
 // NewWorldEvaluator fixes worlds live-edge worlds over g under the given
 // model, all derived from seed. Two evaluators with identical (g, model,
 // worlds, seed) observe identical worlds, so spreads computed by separate
 // calls — even separate processes — are directly comparable world by world.
+// It compiles g's out-arcs into the evaluator's arc table once, in O(n+m),
+// through the graph.G interface, so every backend gets the same kernel.
 func NewWorldEvaluator(g graph.G, model weights.Model, worlds int, seed uint64) *WorldEvaluator {
 	if worlds <= 0 {
 		worlds = 1
 	}
-	return &WorldEvaluator{g: g, model: model, worlds: worlds, seed: seed}
+	return &WorldEvaluator{g: g, model: model, worlds: worlds, seed: seed, tab: compileArcs(g)}
+}
+
+// arcTable is the evaluator's read-only compiled copy of g's out-adjacency:
+// the cascade kernel reads one 8-byte record per scanned arc from a single
+// contiguous stream instead of calling the graph interface (and, on the
+// compact backend, decoding varints) per frontier node. off[u] equals
+// g.OutArcBase(u), so arcs is indexed by the global arc index a that keys
+// the world coins.
+type arcTable struct {
+	off  []int64   // n+1 arc offsets; off[n] = m
+	arcs []liveArc // one record per global arc index
+}
+
+// liveArc is one compiled out-arc: its head and its 32-bit coin threshold
+// (arcThreshold).
+type liveArc struct {
+	head graph.NodeID
+	thr  uint32
+}
+
+// compileArcs builds the arc table of g. OutArcBase is dense in [0, m) and
+// follows node order on every backend, so the records are written in order.
+func compileArcs(g graph.G) *arcTable {
+	n := g.N()
+	t := &arcTable{off: make([]int64, n+1), arcs: make([]liveArc, g.M())}
+	for u := graph.NodeID(0); u < n; u++ {
+		base := g.OutArcBase(u)
+		to, w := g.OutNeighbors(u)
+		t.off[u] = base
+		for i, v := range to {
+			t.arcs[base+int64(i)] = liveArc{head: v, thr: arcThreshold(w[i])}
+		}
+	}
+	t.off[n] = g.M()
+	return t
+}
+
+// bytes is the table's resident footprint: 8 B per node and 8 B per arc.
+func (t *arcTable) bytes() int64 {
+	return int64(cap(t.off))*8 + int64(cap(t.arcs))*8
+}
+
+// coinThreshold returns the integer form of the IC live test: for every
+// 64-bit coin x, worldCoin's float comparison float64(x>>11)/2^53 < w holds
+// exactly when x>>11 < coinThreshold(w). Scaling by 2^53 is exact, so the
+// test is x>>11 < w·2^53, i.e. x>>11 < ceil(w·2^53) for the integer x>>11.
+// Weights at or below zero, and NaN (every comparison false), give 0 — never
+// live; weights at or above one give 2^53 — always live.
+func coinThreshold(w float64) uint64 {
+	switch {
+	case !(w > 0):
+		return 0
+	case w >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(w * (1 << 53)))
+}
+
+// arcThreshold is the table's 32-bit threshold of weight w: the top 32 of
+// coinThreshold's 54 bits, saturated at 2^32−1 for w ≥ 1.
+func arcThreshold(w float64) uint32 {
+	return uint32(min(coinThreshold(w)>>21, math.MaxUint32))
+}
+
+// thresholdTest runs the IC live test of coin x against a table threshold.
+// With k = x>>32 the top 32 bits of x>>11, T the full coinThreshold and
+// thr = min(T>>21, 2^32−1): k < thr implies x>>11 < (k+1)·2^21 ≤ thr·2^21
+// ≤ T, live; k > thr implies x>>11 ≥ (thr+1)·2^21 ≥ T, dead. Only k == thr
+// is undecided (a tie), which a coin hits with probability about 2^-32;
+// the caller re-decides it with worldCoin's float rule.
+func thresholdTest(x uint64, thr uint32) (live, tie bool) {
+	k := uint32(x >> 32)
+	return k < thr, k == thr
 }
 
 // Worlds returns the number of fixed worlds R.
@@ -167,11 +245,11 @@ func (e *WorldEvaluator) EvalBatch(sets [][]graph.NodeID, opt BatchOptions) ([]B
 		}
 	}
 	matrixBytes := int64(m) * int64(r) * 4
-	charge(matrixBytes + int64(workers)*worldScratchBytes(e.g.N(), e.model))
+	charge(matrixBytes + e.tab.bytes() + int64(workers)*worldScratchBytes(e.g.N(), e.model))
 
 	var err error
 	if workers == 1 {
-		err = e.evalWorlds(newWorldSim(e.g, e.model), sets, chains, 0, r, spreads, nanos, opt.Poll, nil, nil)
+		err = e.evalWorlds(newWorldSim(e), sets, chains, 0, r, spreads, nanos, opt.Poll, nil, nil)
 	} else {
 		err = e.evalParallel(sets, chains, spreads, nanos, workers, opt.Chunk, opt.Poll)
 	}
@@ -346,7 +424,7 @@ func (e *WorldEvaluator) evalParallel(sets [][]graph.NodeID, chains [][]int, spr
 	body := func(w int, lo, hi int64) {
 		sc := &scratch[w]
 		if sc.sim == nil {
-			sc.sim = newWorldSim(e.g, e.model)
+			sc.sim = newWorldSim(e)
 			sc.local = make([]int64, len(sets))
 		}
 		_ = e.evalWorlds(sc.sim, sets, chains, int(lo), int(hi), spreads, sc.local, nil, &stop, progress)
@@ -376,7 +454,9 @@ func (e *WorldEvaluator) evalParallel(sets [][]graph.NodeID, chains [][]int, spr
 
 // worldScratchBytes upper-bounds one worldSim's resident scratch: the mark
 // bitset plus the (at most n-long) frontier queue, and for LT the per-world
-// arc-choice cache. Charged per worker by EvalBatch.
+// arc-choice cache. Charged per worker by EvalBatch. The arc table (8 B per
+// node + 8 B per arc, arcTable.bytes) is shared by every worker and charged
+// once per batch on top.
 func worldScratchBytes(n int32, model weights.Model) int64 {
 	b := int64(n)/8 + int64(n)*4 // mark bitset (n/8) + queue capacity bound (4n)
 	if model == weights.LT {
@@ -390,6 +470,7 @@ func worldScratchBytes(n int32, model weights.Model) int64 {
 // per worker.
 type worldSim struct {
 	g     graph.G
+	tab   *arcTable
 	model weights.Model
 	m     int64 // arc count: LT node draws are keyed on m+v
 
@@ -417,11 +498,13 @@ type worldSim struct {
 	worldEpoch uint32
 }
 
-func newWorldSim(g graph.G, model weights.Model) *worldSim {
-	g = graph.View(g) // private decode buffers: one worldSim per worker
+func newWorldSim(e *WorldEvaluator) *worldSim {
+	g := graph.View(e.g) // private decode buffers: one worldSim per worker
 	n := g.N()
+	model := e.model
 	s := &worldSim{
 		g:     g,
+		tab:   e.tab,
 		model: model,
 		m:     g.M(),
 		mark:  graphalgo.NewBitset(int(n)),
@@ -485,33 +568,49 @@ func (s *worldSim) extend(seeds []graph.NodeID) int32 {
 }
 
 // extendIC processes the frontier from queue index head: arc a=(u,v) is
-// live iff its indexed coin clears the arc weight.
+// live iff its indexed coin clears the arc weight, decided on the table's
+// integer threshold (thresholdTest) and, on a tie, by tieLive. Both
+// outcomes per arc — visited, live — are close to coin flips, so the loop
+// does not branch on them: it draws every scanned arc's coin, stores the
+// head in the next queue slot unconditionally (the queue is first grown by
+// u's degree; slots past its length are dead) and advances the queue by the
+// branch-free Bitset.SetIf result.
 func (s *worldSim) extendIC(head int) {
-	g := s.g
-	for ; head < len(s.queue); head++ {
-		u := s.queue[head]
-		to, w := g.OutNeighbors(u)
-		base := g.OutArcBase(u)
-		for i, v := range to {
-			if s.mark.Test(int(v)) {
-				continue
+	off, arcs, ws := s.tab.off, s.tab.arcs, s.worldSeed
+	mark, queue := s.mark, s.queue
+	for ; head < len(queue); head++ {
+		u := queue[head]
+		lo, hi := off[u], off[u+1]
+		n, deg := len(queue), int(hi-lo)
+		q := slices.Grow(queue, deg)[:n+deg]
+		for i, arc := range arcs[lo:hi] {
+			live, tie := thresholdTest(sampleSeed(ws, lo+int64(i)), arc.thr)
+			if tie {
+				live = s.tieLive(u, i)
 			}
-			if worldCoin(s.worldSeed, base+int64(i)) < w[i] {
-				s.mark.Set(int(v))
-				s.queue = append(s.queue, v)
-			}
+			q[n] = arc.head
+			n += mark.SetIf(int(arc.head), live)
 		}
+		queue = q[:n]
 	}
+	s.queue = queue
+}
+
+// tieLive decides out-arc i of node u by the float rule, worldCoin <
+// weight, reading the weight through the graph.
+func (s *worldSim) tieLive(u graph.NodeID, i int) bool {
+	_, w := s.g.OutNeighbors(u)
+	return worldCoin(s.worldSeed, s.tab.off[u]+int64(i)) < w[i]
 }
 
 // extendLT processes the frontier from queue index head: v activates when
 // its in-arc choice for this world points at an active node.
 func (s *worldSim) extendLT(head int) {
-	g := s.g
+	off, arcs := s.tab.off, s.tab.arcs
 	for ; head < len(s.queue); head++ {
 		u := s.queue[head]
-		to, _ := g.OutNeighbors(u)
-		for _, v := range to {
+		for _, arc := range arcs[off[u]:off[u+1]] {
+			v := arc.head
 			if s.mark.Test(int(v)) {
 				continue
 			}

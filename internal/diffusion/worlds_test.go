@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"path/filepath"
 	"testing"
 
 	"github.com/sigdata/goinfmax/internal/graph"
@@ -235,8 +236,11 @@ func TestEvalBatchAccounting(t *testing.T) {
 		if net != want {
 			t.Fatalf("keep=%v: net accounted %d want %d", keep, net, want)
 		}
-		if peak < int64(len(sets))*r*4 {
-			t.Fatalf("keep=%v: peak %d never covered the spread matrix", keep, peak)
+		// The up-front charge covers the matrix, the arc table (8 B per
+		// node + 8 B per arc) and one worker's scratch.
+		covered := int64(len(sets))*r*4 + 8*int64(g.N()+1) + 8*g.M() + worldScratchBytes(g.N(), weights.IC)
+		if peak < covered {
+			t.Fatalf("keep=%v: peak %d never covered matrix + arc table + scratch (%d)", keep, peak, covered)
 		}
 	}
 }
@@ -312,5 +316,208 @@ func TestMarginalGainCtxCancelled(t *testing.T) {
 	}
 	if gain < 1 {
 		t.Fatalf("gain of first seed %v, want ≥ 1 (the seed itself)", gain)
+	}
+}
+
+// referencePerWorld evaluates every set from scratch in every world by the
+// rule the compiled arc table must reproduce, read straight through the
+// graph interface: out-arc i of u is live iff worldCoin(worldSeed,
+// OutArcBase(u)+i) < its weight (IC); v follows the in-arc whose cumulative
+// weight first exceeds worldCoin(worldSeed, M+v) (LT).
+func referencePerWorld(g graph.G, model weights.Model, worlds int, seed uint64, sets [][]graph.NodeID) [][]int32 {
+	out := make([][]int32, len(sets))
+	for i := range out {
+		out[i] = make([]int32, worlds)
+	}
+	for w := 0; w < worlds; w++ {
+		ws := worldSeed(seed, w)
+		chosenIn := func(v graph.NodeID) graph.NodeID {
+			from, wt := g.InNeighbors(v)
+			x := worldCoin(ws, g.M()+int64(v))
+			acc := 0.0
+			for i, u := range from {
+				acc += wt[i]
+				if x < acc {
+					return u
+				}
+			}
+			return -1
+		}
+		for si, set := range sets {
+			active := make([]bool, g.N())
+			var queue []graph.NodeID
+			for _, v := range set {
+				if !active[v] {
+					active[v] = true
+					queue = append(queue, v)
+				}
+			}
+			for h := 0; h < len(queue); h++ {
+				u := queue[h]
+				to, wt := g.OutNeighbors(u)
+				base := g.OutArcBase(u)
+				for i, v := range to {
+					if active[v] {
+						continue
+					}
+					var live bool
+					if model == weights.IC {
+						live = worldCoin(ws, base+int64(i)) < wt[i]
+					} else {
+						live = chosenIn(v) == u
+					}
+					if live {
+						active[v] = true
+						queue = append(queue, v)
+					}
+				}
+			}
+			out[si][w] = int32(len(queue))
+		}
+	}
+	return out
+}
+
+// namedGraph is one backend's view of a test graph.
+type namedGraph struct {
+	name string
+	g    graph.G
+}
+
+// backendsOf returns g on the three graph backends: the CSR itself and the
+// compact encoding of its binary file, memory-mapped and heap-resident.
+func backendsOf(t *testing.T, g *graph.Graph) []namedGraph {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "g.gimb")
+	if err := graph.WriteBinary(g, path, graph.BinaryWriterOptions{}); err != nil {
+		t.Fatalf("WriteBinary: %v", err)
+	}
+	out := []namedGraph{{"csr", g}}
+	for _, b := range []struct {
+		name string
+		mmap bool
+	}{{"compact", true}, {"compact-heap", false}} {
+		c, err := graph.OpenBinary(path, graph.OpenBinaryOptions{Mmap: b.mmap})
+		if err != nil {
+			t.Fatalf("OpenBinary: %v", err)
+		}
+		t.Cleanup(func() { _ = c.Close() })
+		out = append(out, namedGraph{b.name, c})
+	}
+	return out
+}
+
+// TestEvalBatchMatchesReference pins the compiled kernel to the
+// interface-walking rule: per-world spreads equal the reference simulator
+// for every model, backend, weight scheme and worker count.
+func TestEvalBatchMatchesReference(t *testing.T) {
+	base := randomWCGraph(53, 150, 700)
+	sets := prefixChainSets(t, base, []int{6, 1, 3}, 59)
+	sets = append(sets, []graph.NodeID{149, 7, 149, 0})
+	schemes := []weights.Scheme{
+		weights.WeightedCascade{},
+		weights.DefaultTrivalency(61),
+		weights.ICConstant{P: 0},
+		weights.ICConstant{P: 0.12},
+		weights.ICConstant{P: 1},
+	}
+	const r = 96
+	for _, backend := range backendsOf(t, base) {
+		for _, scheme := range schemes {
+			g := scheme.Apply(backend.g)
+			for _, model := range []weights.Model{weights.IC, weights.LT} {
+				want := referencePerWorld(g, model, r, 67, sets)
+				ev := NewWorldEvaluator(g, model, r, 67)
+				for _, workers := range []int{1, 2, 7} {
+					got, err := ev.EvalBatch(sets, BatchOptions{Workers: workers, KeepPerWorld: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range sets {
+						for w := range want[i] {
+							if got[i].PerWorld[w] != want[i][w] {
+								t.Fatalf("%s %s %v workers=%d set %d world %d: spread %d, reference %d",
+									backend.name, scheme.Name(), model, workers, i, w, got[i].PerWorld[w], want[i][w])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEvalBatchTieArcs runs the kernel's tie path end to end: on the
+// one-arc graph 0→1, the weight is set from world 0's coin x for the arc so
+// that its table threshold equals the coin's top 32 bits (a tie), once just
+// above the coin (live) and once equal to it (dead, as worldCoin < w is
+// strict).
+func TestEvalBatchTieArcs(t *testing.T) {
+	const seed = 71
+	x := sampleSeed(worldSeed(seed, 0), 0)
+	y := x >> 11
+	for _, tc := range []struct {
+		w    float64
+		want int32
+	}{{float64(y+1) / (1 << 53), 2}, {float64(y) / (1 << 53), 1}} {
+		if _, tie := thresholdTest(x, arcThreshold(tc.w)); !tie {
+			t.Fatalf("w=%v: coin %#x is not a tie", tc.w, x)
+		}
+		b := graph.NewBuilder(2, true)
+		if err := b.AddEdge(0, 1, tc.w); err != nil {
+			t.Fatal(err)
+		}
+		res, err := NewWorldEvaluator(b.Build(), weights.IC, 1, seed).
+			EvalBatch([][]graph.NodeID{{0}}, BatchOptions{Workers: 1, KeepPerWorld: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res[0].PerWorld[0]; got != tc.want {
+			t.Fatalf("w=%v: spread %d, want %d", tc.w, got, tc.want)
+		}
+	}
+}
+
+// TestThresholdTestBoundaries checks the integer live test against the
+// float rule float64(x>>11)/2^53 < w at boundary weights, with coins whose
+// 53-bit value sits at T−1, T and T+1 for T = coinThreshold(w), so that
+// the tie branch runs.
+func TestThresholdTestBoundaries(t *testing.T) {
+	const two53 = 1 << 53
+	ws := []float64{0, -0.25, math.Inf(-1), math.NaN(), 0x1p-60, 1, 1.5, math.Inf(1)}
+	for _, j := range []float64{1, 3, 1 << 21, 1<<21 + 1, 1 << 52, 1<<52 + 1, two53 - 1} {
+		w := j / two53 // exact
+		ws = append(ws, w, math.Nextafter(w, 0), math.Nextafter(w, 1))
+		if got := coinThreshold(w); got != uint64(j) {
+			t.Fatalf("coinThreshold(%d/2^53) = %d, want %d", uint64(j), got, uint64(j))
+		}
+		if got := coinThreshold(math.Nextafter(w, 1)); got != uint64(j)+1 {
+			t.Fatalf("coinThreshold(next above %d/2^53) = %d, want %d", uint64(j), got, uint64(j)+1)
+		}
+	}
+	ties := 0
+	for _, w := range ws {
+		T := coinThreshold(w)
+		thr := arcThreshold(w)
+		for _, y := range []uint64{T - 1, T, T + 1} {
+			if y >= two53 { // T−1 wrapped below 0, or past the 53-bit range
+				continue
+			}
+			for _, low := range []uint64{0, 1<<11 - 1} {
+				x := y<<11 | low
+				want := float64(x>>11)/two53 < w // worldCoin's rule
+				got, tie := thresholdTest(x, thr)
+				if tie {
+					ties++
+					got = want // the kernel re-decides ties by the float rule
+				}
+				if got != want {
+					t.Fatalf("w=%v x=%#x (thr %d, T %d, tie %v): live %v, float rule %v", w, x, thr, T, tie, got, want)
+				}
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no case reached the tie branch")
 	}
 }

@@ -42,6 +42,22 @@ func (b Bitset) TestAndSet(i int) bool {
 	return old&m != 0
 }
 
+// SetIf sets bit i when cond holds and returns 1 if that changed the bit,
+// 0 otherwise, without branching on cond or on the bit: the cascade kernels
+// whose live/visited outcomes are coin flips would otherwise mispredict a
+// branch on most arcs.
+func (b Bitset) SetIf(i int, cond bool) int {
+	c := 0
+	if cond {
+		c = 1
+	}
+	w, sh := uint(i)>>6, uint(i)&63
+	old := b.words[w]
+	added := uint64(c) &^ (old >> sh)
+	b.words[w] = old | added<<sh
+	return int(added)
+}
+
 // Len returns the universe size rounded up to the word stride.
 func (b Bitset) Len() int { return len(b.words) << 6 }
 

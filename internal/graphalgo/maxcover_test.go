@@ -131,4 +131,18 @@ func TestBitsetBasics(t *testing.T) {
 	if b.Len() < 130 || b.Bytes() != 24 {
 		t.Fatalf("Len=%d Bytes=%d, want ≥130 and 24", b.Len(), b.Bytes())
 	}
+	for _, i := range []int{0, 63, 64, 129} {
+		if b.SetIf(i, false) != 0 || b.Test(i) {
+			t.Fatalf("SetIf(%d, false) set the bit", i)
+		}
+		if b.SetIf(i, true) != 1 || !b.Test(i) {
+			t.Fatalf("SetIf(%d, true) on a clear bit did not set it", i)
+		}
+		if b.SetIf(i, true) != 0 || b.SetIf(i, false) != 0 || !b.Test(i) {
+			t.Fatalf("SetIf(%d) on a set bit reported a change or cleared it", i)
+		}
+	}
+	if b.Test(1) || b.Test(62) || b.Test(65) || b.Test(128) {
+		t.Fatal("SetIf touched neighbors")
+	}
 }

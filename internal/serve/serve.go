@@ -186,3 +186,8 @@ func (s *Server) Stats() Stats {
 
 // MaxInFlight reports the admission-gate capacity after defaulting.
 func (s *Server) MaxInFlight() int { return s.cfg.MaxInFlight }
+
+// LongestBudget reports the longest time budget any query can run under
+// after defaulting: MaxBudget, or DefaultBudget when it is configured
+// above MaxBudget (requests without budget_ms get DefaultBudget unclamped).
+func (s *Server) LongestBudget() time.Duration { return max(s.cfg.MaxBudget, s.cfg.DefaultBudget) }
